@@ -132,6 +132,14 @@ pub enum EngineError {
         /// The panic payload, if it was a string.
         message: String,
     },
+    /// A kernel message handler or timer panicked. No Amber thread is at
+    /// fault: handlers run in kernel context.
+    KernelPanic {
+        /// Virtual time at which the handler ran.
+        at: SimTime,
+        /// The panic payload, if it was a string.
+        message: String,
+    },
     /// A real-engine run exceeded its wall-clock deadline.
     Timeout,
 }
@@ -151,6 +159,9 @@ impl std::fmt::Display for EngineError {
             }
             EngineError::Panic { thread, message } => {
                 write!(f, "{thread} panicked: {message}")
+            }
+            EngineError::KernelPanic { at, message } => {
+                write!(f, "kernel handler panicked at {at}: {message}")
             }
             EngineError::Timeout => write!(f, "run exceeded its wall-clock deadline"),
         }
@@ -343,20 +354,33 @@ pub fn must_current_thread() -> ThreadId {
     current_thread().expect("this operation must be called from an Amber thread")
 }
 
-/// Sets the current-thread marker for the duration of a thread body.
-/// Engines call this; user code never should.
-pub(crate) struct CurrentGuard;
+/// Sets the current-thread marker for the duration of a thread body or a
+/// kernel handler, restoring the previous marker on drop. Engines call
+/// this; user code never should.
+pub(crate) struct CurrentGuard {
+    prev: Option<ThreadId>,
+}
 
 impl CurrentGuard {
     pub(crate) fn enter(tid: ThreadId) -> CurrentGuard {
-        CURRENT.with(|c| c.set(Some(tid)));
-        CurrentGuard
+        CurrentGuard {
+            prev: CURRENT.with(|c| c.replace(Some(tid))),
+        }
+    }
+
+    /// Kernel context: a handler run on an OS thread that an Amber thread
+    /// lent while parked sees `None`, and the lender's marker comes back
+    /// when the handler returns.
+    pub(crate) fn kernel() -> CurrentGuard {
+        CurrentGuard {
+            prev: CURRENT.with(|c| c.replace(None)),
+        }
     }
 }
 
 impl Drop for CurrentGuard {
     fn drop(&mut self) {
-        CURRENT.with(|c| c.set(None));
+        CURRENT.with(|c| c.set(self.prev));
     }
 }
 
@@ -437,6 +461,16 @@ mod tests {
             assert_eq!(current_thread(), Some(ThreadId(7)));
         }
         assert_eq!(current_thread(), None);
+    }
+
+    #[test]
+    fn kernel_guard_hides_and_restores_the_lender() {
+        let _g = CurrentGuard::enter(ThreadId(3));
+        {
+            let _k = CurrentGuard::kernel();
+            assert_eq!(current_thread(), None);
+        }
+        assert_eq!(current_thread(), Some(ThreadId(3)));
     }
 
     #[test]

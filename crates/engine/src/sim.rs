@@ -2,10 +2,14 @@
 //!
 //! [`SimEngine`] runs an Amber program under a *virtual clock*. User code
 //! executes natively (real Rust closures on real OS threads), but exactly one
-//! Amber thread runs at a time: a dispatcher hands a "baton" to one thread,
-//! which executes until its next engine primitive (work, block, send, sleep,
-//! yield), then hands the baton back. Virtual time advances only when the
-//! dispatcher processes events, so:
+//! Amber thread runs at a time: it holds a "baton" and executes until its
+//! next engine primitive (work, block, send, sleep, yield). There it gives
+//! the baton up and, on its own OS thread, takes one dispatch step: grant
+//! the oldest runnable thread, or else pop the earliest event, advance the
+//! clock to it and handle it, until some thread can run. A grant to itself
+//! just returns; any other grant posts that thread's gate and parks on its
+//! own, so a switch costs one OS wake-up.
+//! Virtual time advances only in dispatch steps, so:
 //!
 //! * computation costs come from explicit [`work`](crate::Engine::work)
 //!   charges (occupying one of the node's P virtual processors, queueing
@@ -13,6 +17,12 @@
 //! * communication costs come from the [`LatencyModel`] applied to every
 //!   [`send`](crate::Engine::send);
 //! * the whole run is deterministic: same program, same spec, same trace.
+//!
+//! Message handlers and timers run in kernel context on whichever OS thread
+//! is dispatching (the one that just gave up the baton, a finishing
+//! thread, or the host's first kick), with
+//! [`current_thread`](crate::current_thread) reading `None`. A panicking
+//! handler ends the run with [`EngineError::KernelPanic`].
 //!
 //! Determinism is what lets this reproduce the paper's figures on a 1-CPU
 //! host: a "32-processor" run is simulated event by event, with speedup read
@@ -26,7 +36,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
 
-use parking_lot::{Condvar, Mutex};
+use parking_lot::{Condvar, Mutex, MutexGuard};
 
 use crate::engine::{
     must_current_thread, ClusterSpec, CurrentGuard, Engine, EngineError, EngineKind, Gate,
@@ -123,8 +133,6 @@ struct SimState {
 
 struct SimInner {
     state: Mutex<SimState>,
-    /// Signalled whenever the dispatcher may have something to do.
-    dispatch_cv: Condvar,
     /// Signalled when the run completes (success or failure).
     done_cv: Condvar,
     stats: Arc<NetStats>,
@@ -183,7 +191,6 @@ impl SimEngine {
                 finished: false,
                 error: None,
             }),
-            dispatch_cv: Condvar::new(),
             done_cv: Condvar::new(),
             stats,
             latency: spec.latency,
@@ -274,16 +281,28 @@ impl SimState {
 }
 
 impl SimInner {
-    /// Parks the calling user thread: releases the baton and waits for the
-    /// dispatcher's grant.
-    fn park_current(&self, st: &mut parking_lot::MutexGuard<'_, SimState>, gate: &Arc<Gate>) {
+    /// Gives up the baton held by `me` and passes it on: one
+    /// [`dispatch`](SimInner::dispatch) step on the calling OS thread, then
+    /// a post to the grantee's gate, then a park on `me`'s own gate until it
+    /// is granted again. A grant to `me` itself returns at once. `None` is a
+    /// finishing thread or the host's first kick, which only pass it on.
+    /// On return `st` is re-locked; callers must drop it promptly.
+    fn hand_off(&self, st: &mut MutexGuard<'_, SimState>, me: Option<ThreadId>) {
         st.active = None;
-        self.dispatch_cv.notify_one();
-        // Release the state lock before parking; the dispatcher takes over.
-        parking_lot::MutexGuard::unlocked(st, || gate.wait());
-        // On return the dispatcher has made us Active again; `st` is
-        // re-locked but we immediately return to user code, so callers must
-        // drop it promptly.
+        let next = self.dispatch(st);
+        if next.is_some() && next == me {
+            return;
+        }
+        let next_gate = next.map(|t| Arc::clone(&st.tcb(t).gate));
+        let own_gate = me.map(|t| Arc::clone(&st.tcb(t).gate));
+        MutexGuard::unlocked(st, || {
+            if let Some(gate) = next_gate {
+                gate.post();
+            }
+            if let Some(gate) = own_gate {
+                gate.wait();
+            }
+        });
     }
 
     fn finish(&self, st: &mut SimState, error: Option<EngineError>) {
@@ -294,33 +313,22 @@ impl SimInner {
         self.done_cv.notify_all();
     }
 
-    fn dispatcher_loop(self: &Arc<Self>) {
+    /// Processes events until some thread can run, marks it active and
+    /// returns it. Returns `None` once the run is over (finished, failed or
+    /// deadlocked), after reporting that to `run_boxed`.
+    fn dispatch(&self, st: &mut MutexGuard<'_, SimState>) -> Option<ThreadId> {
         loop {
-            let mut st = self.state.lock();
-            while st.active.is_some() {
-                self.dispatch_cv.wait(&mut st);
-            }
-            if st.finished {
-                return;
-            }
-            if st.error.is_some() {
-                self.finish(&mut st, None);
-                return;
-            }
-            if st.live == 0 {
-                self.finish(&mut st, None);
-                return;
+            if st.finished || st.error.is_some() || st.live == 0 {
+                self.finish(st, None);
+                return None;
             }
             // 1. Grant the baton to a thread that is ready *now*.
             if let Some(tid) = st.runnable.pop_front() {
                 let tcb = st.tcb_mut(tid);
                 debug_assert_eq!(tcb.state, RunState::Ready);
                 tcb.state = RunState::Active;
-                let gate = Arc::clone(&tcb.gate);
                 st.active = Some(tid);
-                drop(st);
-                gate.post();
-                continue;
+                return Some(tid);
             }
             // 2. Otherwise advance the virtual clock to the next event.
             if let Some(((at, _), ev)) = st.events.pop_first() {
@@ -350,10 +358,18 @@ impl SimInner {
                         }
                     }
                     Event::Deliver { handler } => {
-                        // Kernel handlers run in dispatcher context without
-                        // the state lock (they call back into the engine).
-                        drop(st);
-                        handler();
+                        // Kernel context, without the state lock (handlers
+                        // call back into the engine). A panic is the
+                        // handler's, never the lending thread's.
+                        let ran = MutexGuard::unlocked(st, || {
+                            let _kernel = CurrentGuard::kernel();
+                            catch_unwind(AssertUnwindSafe(handler))
+                        });
+                        if let Err(payload) = ran {
+                            let message = panic_message(&payload);
+                            self.finish(st, Some(EngineError::KernelPanic { at, message }));
+                            return None;
+                        }
                     }
                 }
                 continue;
@@ -361,8 +377,8 @@ impl SimInner {
             // 3. No runnable thread, no event, live threads remain: deadlock.
             let blocked = st.blocked_report();
             let at = st.clock;
-            self.finish(&mut st, Some(EngineError::Deadlock { at, blocked }));
-            return;
+            self.finish(st, Some(EngineError::Deadlock { at, blocked }));
+            return None;
         }
     }
 }
@@ -372,13 +388,12 @@ impl Transport for SimInner {
     /// instant. Called with the state lock *not* held (the fault layer is
     /// entered only after `send` releases it); in the simulator the clock
     /// cannot advance in between, because the caller is either the active
-    /// thread (holding the baton) or a handler running in dispatcher
-    /// context, so fault scheduling stays deterministic.
+    /// thread (holding the baton) or a handler running inside a dispatch
+    /// step, so fault scheduling stays deterministic.
     fn after(&self, delay: SimTime, f: KernelFn) {
         let mut st = self.state.lock();
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler: f });
-        self.dispatch_cv.notify_one();
     }
 
     fn now(&self) -> SimTime {
@@ -414,8 +429,7 @@ impl SimEngine {
             tcb.blocked_class = class;
             tcb.block_reason = reason;
         }
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.hand_off(&mut st, Some(tid));
     }
 
     /// The classic send path: record, trace, then deliver (through the
@@ -441,7 +455,6 @@ impl SimEngine {
         let delay = self.inner.latency.latency(bytes);
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler });
-        self.inner.dispatch_cv.notify_one();
     }
 
     /// Records one message absorbed by the coalescing buffer.
@@ -473,7 +486,6 @@ impl SimEngine {
             (RunState::Blocked, true) => {
                 st.tcb_mut(thread).state = RunState::Ready;
                 st.runnable.push_back(thread);
-                self.inner.dispatch_cv.notify_one();
             }
             _ => match class {
                 WakeClass::User => st.tcb_mut(thread).pending_user += 1,
@@ -532,7 +544,6 @@ impl Engine for SimEngine {
                 },
             );
             st.runnable.push_back(tid);
-            self.inner.dispatch_cv.notify_one();
         }
         std::thread::Builder::new()
             .name(name)
@@ -553,8 +564,7 @@ impl Engine for SimEngine {
                 }
                 st.tcb_mut(tid).state = RunState::Dead;
                 st.live -= 1;
-                st.active = None;
-                inner.dispatch_cv.notify_one();
+                inner.hand_off(&mut st, None);
             })
             .expect("failed to spawn OS thread for Amber thread");
         tid
@@ -578,8 +588,7 @@ impl Engine for SimEngine {
             st.tcb_mut(tid).state = RunState::QueuedCpu;
             st.nodes[node_ix].sched.enqueue(tid, prio);
         }
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.hand_off(&mut st, Some(tid));
     }
 
     fn block_current(&self, reason: &'static str) {
@@ -658,7 +667,6 @@ impl Engine for SimEngine {
         let mut st = self.inner.state.lock();
         let at = st.clock + delay;
         st.push_event(at, Event::Deliver { handler: f });
-        self.inner.dispatch_cv.notify_one();
     }
 
     fn yield_now(&self) {
@@ -667,8 +675,7 @@ impl Engine for SimEngine {
         let mut st = self.inner.state.lock();
         st.tcb_mut(tid).state = RunState::Ready;
         st.runnable.push_back(tid);
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.hand_off(&mut st, Some(tid));
     }
 
     fn sleep(&self, duration: SimTime) {
@@ -681,8 +688,7 @@ impl Engine for SimEngine {
         st.tcb_mut(tid).state = RunState::Sleeping;
         let at = st.clock + duration;
         st.push_event(at, Event::Wake(tid));
-        let gate = Arc::clone(&st.tcb(tid).gate);
-        self.inner.park_current(&mut st, &gate);
+        self.inner.hand_off(&mut st, Some(tid));
     }
 
     fn stats(&self) -> &Arc<NetStats> {
@@ -699,26 +705,18 @@ impl Engine for SimEngine {
             assert!(!st.started, "SimEngine::run_boxed may only be called once");
             st.started = true;
         }
-        // Spawn the main thread before the dispatcher so the dispatcher can
+        // Spawn the main thread before the first dispatch step so it can
         // never observe `live == 0` before the program begins.
         self.spawn(node, "main".to_string(), body);
-        let inner = Arc::clone(&self.inner);
-        let dispatcher = std::thread::Builder::new()
-            .name("amber-dispatcher".to_string())
-            .spawn(move || inner.dispatcher_loop())
-            .expect("failed to spawn dispatcher");
-        let result = {
-            let mut st = self.inner.state.lock();
-            while !st.finished {
-                self.inner.done_cv.wait(&mut st);
-            }
-            match st.error.clone() {
-                Some(e) => Err(e),
-                None => Ok(()),
-            }
-        };
-        let _ = dispatcher.join();
-        result
+        let mut st = self.inner.state.lock();
+        self.inner.hand_off(&mut st, None);
+        while !st.finished {
+            self.inner.done_cv.wait(&mut st);
+        }
+        match st.error.clone() {
+            Some(e) => Err(e),
+            None => Ok(()),
+        }
     }
 }
 
